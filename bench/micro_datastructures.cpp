@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the data structures on MRBC's hot
-// paths: DynamicBitset iteration (source sets per distance bucket), FlatMap
-// vs std::map (the M_v index, paper footnote 1), and the HostState
+// paths: DynamicBitset iteration (source sets), FlatMap vs std::map (the
+// paper's footnote-1 container ablation for M_v), and the HostState
 // nth_entry / position queries that implement the pipelined send schedule.
 //
 // After the benchmark suite, main runs frontier_scan_gate(): an enforced
@@ -74,7 +74,7 @@ void BM_FlatMapChurn(benchmark::State& state) {
 void BM_StdMapChurn(benchmark::State& state) {
   map_churn<std::map<std::uint32_t, double>>(state);
 }
-// The M_v index holds few distinct distances (the diameter reached by the
+// A vertex's L_v holds few distinct distances (the diameter reached by the
 // batch): 16 and 64 bracket the realistic range.
 BENCHMARK(BM_FlatMapChurn)->Arg(16)->Arg(64);
 BENCHMARK(BM_StdMapChurn)->Arg(16)->Arg(64);
@@ -92,20 +92,36 @@ void BM_HostStateUpdateDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_HostStateUpdateDistance)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_HostStateNthEntry(benchmark::State& state) {
-  const std::uint32_t k = 64;
+/// One lid's L_v filled with all k sources at random distances.
+core::HostState full_row_state(std::uint32_t k) {
   core::HostState st(64, k);
   util::Xoshiro256 rng(7);
   for (std::uint32_t sidx = 0; sidx < k; ++sidx) {
     st.update_distance(0, sidx, static_cast<std::uint32_t>(rng.next_bounded(20)));
   }
+  return st;
+}
+
+void BM_HostStateNthEntry(benchmark::State& state) {
+  const core::HostState st = full_row_state(static_cast<std::uint32_t>(state.range(0)));
   std::size_t idx = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(st.nth_entry(0, idx));
     idx = (idx + 1) % st.entry_count(0);
   }
 }
-BENCHMARK(BM_HostStateNthEntry);
+BENCHMARK(BM_HostStateNthEntry)->Arg(32)->Arg(64)->Arg(128);
+
+void BM_HostStatePosition(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const core::HostState st = full_row_state(k);
+  std::uint32_t sidx = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(st.position(0, st.slot(0, sidx).dist, sidx));
+    sidx = (sidx + 1) % k;
+  }
+}
+BENCHMARK(BM_HostStatePosition)->Arg(32)->Arg(64)->Arg(128);
 
 // ---- Enforced SIMD frontier-scan gate --------------------------------------
 

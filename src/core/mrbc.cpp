@@ -39,7 +39,7 @@ constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadca
 // in global sequential order — chunk-index major, in-chunk push order minor
 // — so every slot sees exactly the arithmetic sequence the sequential drain
 // would have applied. Ranges are disjoint in everything a push mutates (the
-// slot array is lid-major, dirty/dist-map/to_broadcast state is per-lid, and
+// slot array is lid-major, dirty/L_v-row/to_broadcast state is per-lid, and
 // 64-lid alignment keeps substrate flag-bitset words range-private), so
 // ranges can replay concurrently.
 //
@@ -458,6 +458,20 @@ class BatchRunner final : public sim::Checkpointable {
     substrate_.flag_broadcast(h, lid);
   }
 
+  /// Empties the broadcast staging lists after the round's sync. Only
+  /// stage_eager sets kEagerStaged, and it always appends the source to the
+  /// lid's list, so clearing the listed sources clears every mark.
+  void clear_staged(HostId h) {
+    HostState& st = state_[h];
+    for (graph::VertexId lid : staged_lids_[h]) {
+      for (const auto& [sidx, is_final] : st.to_broadcast[lid]) {
+        flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
+      }
+      st.to_broadcast[lid].clear();
+    }
+    staged_lids_[h].clear();
+  }
+
   /// Flushes the entries of one master vertex whose pipelined send round
   /// has arrived (the delayed-synchronization rule, Section 4.3). The BSP
   /// fire round is d + l_v(d, s) + 1: one round later than the CONGEST
@@ -780,14 +794,7 @@ class BatchRunner final : public sim::Checkpointable {
     }
     worklist_[h].clear();
     self_sched_[h].clear();
-    for (graph::VertexId lid : staged_lids_[h]) {
-      st.to_broadcast[lid].clear();
-      // clear eager-staging marks
-      for (std::uint32_t sidx = 0; sidx < batch_.size(); ++sidx) {
-        flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
-      }
-    }
-    staged_lids_[h].clear();
+    clear_staged(h);
     (void)round;
     // Re-evaluate after the drain: local pushes can seed brand-new entries
     // at same-host masters without setting any sync flag, and the loop
@@ -912,13 +919,7 @@ class BatchRunner final : public sim::Checkpointable {
     }
     worklist_[h].clear();
     self_sched_[h].clear();
-    for (graph::VertexId lid : staged_lids_[h]) {
-      st.to_broadcast[lid].clear();
-      for (std::uint32_t sidx = 0; sidx < batch_.size(); ++sidx) {
-        flags(h, lid, sidx) &= static_cast<std::uint8_t>(~kEagerStaged);
-      }
-    }
-    staged_lids_[h].clear();
+    clear_staged(h);
     schedule_backward(h, round + 1, R);
     w.active = host_active_[h];
     return w;

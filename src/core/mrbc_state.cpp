@@ -12,7 +12,6 @@ HostState::HostState(VertexId num_proxies, std::uint32_t num_sources)
     : num_proxies_(num_proxies), k_(num_sources) {
   layout();
   first_touch_init();
-  dist_map_.resize(num_proxies);
   dirty_.resize(num_proxies);
   to_broadcast.resize(num_proxies);
 }
@@ -21,9 +20,11 @@ void HostState::layout() {
   const std::size_t np = num_proxies_;
   kw_ = (k_ + 63) / 64;
   using util::Arena;
-  arena_.reserve(Arena::bytes_for<SourceSlot>(np * k_) + Arena::bytes_for<std::size_t>(np) +
-                 2 * Arena::bytes_for<std::uint32_t>(np) + Arena::bytes_for<Word>(np * kw_));
+  arena_.reserve(Arena::bytes_for<SourceSlot>(np * k_) + Arena::bytes_for<std::uint64_t>(np * k_) +
+                 Arena::bytes_for<std::size_t>(np) + 2 * Arena::bytes_for<std::uint32_t>(np) +
+                 Arena::bytes_for<Word>(np * kw_));
   slots_ = arena_.alloc<SourceSlot>(np * k_);
+  keys_ = arena_.alloc<std::uint64_t>(np * k_);
   entry_counts_ = arena_.alloc<std::size_t>(np);
   fwd_sent = arena_.alloc<std::uint32_t>(np);
   acc_sent = arena_.alloc<std::uint32_t>(np);
@@ -39,6 +40,7 @@ void HostState::first_touch_init() {
       0, static_cast<std::size_t>(num_proxies_), grain,
       [&](std::size_t, std::size_t b, std::size_t e) {
         std::fill(slots_.begin() + b * k_, slots_.begin() + e * k_, SourceSlot{});
+        std::fill(keys_.begin() + b * k_, keys_.begin() + e * k_, std::uint64_t{0});
         std::fill(entry_counts_.begin() + b, entry_counts_.begin() + e, std::size_t{0});
         std::fill(fwd_sent.begin() + b, fwd_sent.begin() + e, 0u);
         std::fill(acc_sent.begin() + b, acc_sent.begin() + e, 0u);
@@ -46,69 +48,47 @@ void HostState::first_touch_init() {
       });
 }
 
+std::uint64_t* HostState::find(VertexId lid, std::uint32_t dist, std::uint32_t sidx) const {
+  std::uint64_t* first = row(lid);
+  std::uint64_t* at = std::lower_bound(first, first + entry_counts_[lid], key(dist, sidx));
+  assert(at != first + entry_counts_[lid] && *at == key(dist, sidx));
+  return at;
+}
+
 void HostState::update_distance(VertexId lid, std::uint32_t sidx, std::uint32_t new_dist) {
+  assert(new_dist != graph::kInfDist);
   SourceSlot& s = slot(lid, sidx);
-  auto& map = dist_map_[lid];
-  if (s.dist != graph::kInfDist) {
-    if (s.dist == new_dist) return;
-    auto it = map.find(s.dist);
-    assert(it != map.end());
-    it->second.reset(sidx);
-    if (it->second.none()) map.erase(it);
-    --entry_counts_[lid];
+  if (s.dist == new_dist) return;
+  // One in-row move from the old position to the new one, shifting only the
+  // keys in between. A new entry enters at the row's end, as if its old key
+  // were (inf, sidx).
+  std::uint64_t* first = row(lid);
+  std::uint64_t* at =
+      s.dist == graph::kInfDist ? first + entry_counts_[lid]++ : find(lid, s.dist, sidx);
+  const std::uint64_t nk = key(new_dist, sidx);
+  if (new_dist < s.dist) {
+    std::uint64_t* to = std::lower_bound(first, at, nk);
+    std::copy_backward(to, at, at + 1);
+    *to = nk;
+  } else {
+    std::uint64_t* to = std::lower_bound(at + 1, first + entry_counts_[lid], nk);
+    std::copy(at + 1, to, at);
+    to[-1] = nk;
   }
   s.dist = new_dist;
-  auto [it, inserted] = map.try_emplace(new_dist);
-  if (inserted) it->second.resize(k_);
-  it->second.set(sidx);
-  ++entry_counts_[lid];
 }
 
 void HostState::clear_distance(VertexId lid, std::uint32_t sidx) {
   SourceSlot& s = slot(lid, sidx);
   if (s.dist == graph::kInfDist) return;
-  auto& map = dist_map_[lid];
-  auto it = map.find(s.dist);
-  assert(it != map.end());
-  it->second.reset(sidx);
-  if (it->second.none()) map.erase(it);
+  std::uint64_t* at = find(lid, s.dist, sidx);
+  std::copy(at + 1, row(lid) + entry_counts_[lid], at);
   --entry_counts_[lid];
   s.dist = graph::kInfDist;
 }
 
-std::pair<std::uint32_t, std::uint32_t> HostState::nth_entry(VertexId lid,
-                                                             std::size_t idx) const {
-  assert(idx < entry_counts_[lid]);
-  for (const auto& [dist, sources] : dist_map_[lid]) {
-    const std::size_t bucket = sources.count();
-    if (idx < bucket) {
-      // Select the idx-th set bit within this distance bucket.
-      std::size_t bit = sources.find_first();
-      while (idx-- > 0) bit = sources.find_first_from(bit + 1);
-      return {dist, static_cast<std::uint32_t>(bit)};
-    }
-    idx -= bucket;
-  }
-  assert(false && "nth_entry out of range");
-  return {graph::kInfDist, 0};
-}
-
 std::size_t HostState::position(VertexId lid, std::uint32_t dist, std::uint32_t sidx) const {
-  std::size_t pos = 0;
-  for (const auto& [d, sources] : dist_map_[lid]) {
-    if (d < dist) {
-      pos += sources.count();
-      continue;
-    }
-    assert(d == dist && sources.test(sidx));
-    for (std::size_t bit = sources.find_first(); bit < sidx;
-         bit = sources.find_first_from(bit + 1)) {
-      ++pos;
-    }
-    return pos + 1;  // 1-based
-  }
-  assert(false && "position: entry not present");
-  return 0;
+  return static_cast<std::size_t>(find(lid, dist, sidx) - row(lid)) + 1;  // 1-based
 }
 
 bool HostState::mark_dirty(VertexId lid, std::uint32_t sidx) {
@@ -170,21 +150,18 @@ void HostState::restore(util::RecvBuffer& buf) {
       to_broadcast[lid].emplace_back(sidx, is_final);
     }
   }
-  // Rebuild the derived structures: M_v / entry counts from A_v, the dirty
-  // word plane from the dirty lists.
-  dist_map_.assign(num_proxies_, {});
-  std::fill(entry_counts_.begin(), entry_counts_.end(), std::size_t{0});
+  // Rebuild the derived structures: the L_v key rows / entry counts from
+  // A_v, the dirty word plane from the dirty lists.
   std::fill(dirty_words_.begin(), dirty_words_.end(), Word{0});
   for (VertexId lid = 0; lid < num_proxies_; ++lid) {
-    auto& map = dist_map_[lid];
+    std::uint64_t* first = row(lid);
+    std::size_t n = 0;
     for (std::uint32_t sidx = 0; sidx < k_; ++sidx) {
       const std::uint32_t d = slot(lid, sidx).dist;
-      if (d == graph::kInfDist) continue;
-      auto [it, inserted] = map.try_emplace(d);
-      if (inserted) it->second.resize(k_);
-      it->second.set(sidx);
-      ++entry_counts_[lid];
+      if (d != graph::kInfDist) first[n++] = key(d, sidx);
     }
+    std::sort(first, first + n);
+    entry_counts_[lid] = n;
     for (std::uint32_t sidx : dirty_[lid]) {
       dirty_words_[static_cast<std::size_t>(lid) * kw_ + sidx / 64] |= Word{1} << (sidx % 64);
     }
