@@ -55,6 +55,87 @@ void BM_SubstrateSync(benchmark::State& state) {
 }
 BENCHMARK(BM_SubstrateSync)->Arg(1)->Arg(8)->Arg(64);
 
+/// Shared body of the sparse rows: each iteration flags a fixed
+/// pseudo-random pick of `state.range(0)` proxies per host (masters and
+/// mirrors alike) — the thin-frontier regime (road networks, SBBC) where a
+/// phase's fixed per-pair cost rather than its payload decides the time —
+/// and runs sync(substrate, labels).
+template <typename SyncFn>
+void run_sparse_sync(benchmark::State& state, SyncFn&& sync) {
+  static Partition part(bench_graph(), 8, Policy::kCartesianVertexCut);
+  comm::Substrate sub(part);
+  const auto per_host = static_cast<std::uint64_t>(state.range(0));
+  std::vector<std::vector<double>> labels(part.num_hosts());
+  std::vector<std::vector<graph::VertexId>> picks(part.num_hosts());
+  for (partition::HostId h = 0; h < part.num_hosts(); ++h) {
+    const std::uint64_t np = part.host(h).num_proxies();
+    labels[h].assign(np, 1.0);
+    for (std::uint64_t i = 0; i < per_host && np > 0; ++i) {
+      picks[h].push_back(static_cast<graph::VertexId>((i * 2654435761ULL + h * 97) % np));
+    }
+  }
+  std::size_t values = 0;
+  for (auto _ : state) {
+    for (partition::HostId h = 0; h < part.num_hosts(); ++h) {
+      for (graph::VertexId l : picks[h]) {
+        sub.flag_reduce(h, l);
+        if (part.host(h).is_master[l]) sub.flag_broadcast(h, l);
+      }
+    }
+    const comm::SyncStats stats = sync(sub, labels);
+    values += stats.values;
+    benchmark::DoNotOptimize(stats.bytes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(values));
+}
+
+/// Sparse fixed-width sync (reduce + broadcast of one double).
+void BM_SubstrateSyncSparse(benchmark::State& state) {
+  run_sparse_sync(state, [](comm::Substrate& sub, std::vector<std::vector<double>>& labels) {
+    SumAccessor acc{labels};
+    return sub.sync(acc);
+  });
+}
+BENCHMARK(BM_SubstrateSyncSparse)->Arg(4)->Arg(32);
+
+/// Variable-length label for the var-sync rows: one u32 + one double per
+/// proxy, written through the codec like MRBC's (sidx, sigma) entries.
+struct VarAccessor {
+  std::vector<std::vector<double>>& labels;
+  void serialize_reduce(partition::HostId h, graph::VertexId lid, comm::CodecWriter& w) {
+    serialize_broadcast(h, lid, w);
+    labels[h][lid] = 0.0;
+  }
+  void apply_reduce(partition::HostId h, graph::VertexId lid, comm::CodecReader& r) {
+    for (std::uint32_t n = r.meta_u32(); n > 0; --n) {
+      benchmark::DoNotOptimize(r.value_u32());
+      labels[h][lid] += r.f64();
+    }
+  }
+  void serialize_broadcast(partition::HostId h, graph::VertexId lid, comm::CodecWriter& w) {
+    w.meta_u32(1);
+    w.value_u32(lid);
+    w.f64(labels[h][lid]);
+  }
+  void apply_broadcast(partition::HostId h, graph::VertexId lid, comm::CodecReader& r) {
+    for (std::uint32_t n = r.meta_u32(); n > 0; --n) {
+      benchmark::DoNotOptimize(r.value_u32());
+      labels[h][lid] = r.f64();
+    }
+  }
+};
+
+/// Sparse var-length sync (reduce_var + broadcast_var), the MRBC path.
+void BM_SubstrateSyncVarSparse(benchmark::State& state) {
+  run_sparse_sync(state, [](comm::Substrate& sub, std::vector<std::vector<double>>& labels) {
+    VarAccessor acc{labels};
+    comm::SyncStats stats = sub.reduce_var(acc);
+    stats += sub.broadcast_var(acc);
+    return stats;
+  });
+}
+BENCHMARK(BM_SubstrateSyncVarSparse)->Arg(4)->Arg(32);
+
 /// One flagged sync under a codec mode: the serialize + deserialize cost
 /// of the wire codec relative to raw POD shuffling (arg = CodecMode).
 void BM_SubstrateSyncCodec(benchmark::State& state) {

@@ -23,6 +23,9 @@ using partition::Partition;
 /// can specialize comm::ValueCodec for it.
 struct DistSigma {
   std::uint32_t dist = kInfDist;
+  /// Named alignment padding, always zero: the kRaw wire and checkpoints
+  /// copy the struct bytewise, and unnamed padding would carry garbage.
+  std::uint32_t pad = 0;
   double sigma = 0.0;
 };
 
@@ -118,7 +121,7 @@ class SourceRunner final : public sim::Checkpointable {
     obs::Span phase_span(obs::Category::kAlgo, "forward");
     const HostId mh = part_.master_host(source_);
     const VertexId lid = part_.local_id(mh, source_);
-    labels_[mh][lid] = {0, 1.0};
+    labels_[mh][lid] = {.dist = 0, .sigma = 1.0};
     in_frontier_[mh].set(lid);
     self_sched_[mh].push_back(lid);
     substrate_.flag_broadcast(mh, lid);
@@ -375,6 +378,8 @@ class SourceRunner final : public sim::Checkpointable {
       }
       last_pull_[h] = pull ? 1 : 0;
       if (pull) return compute_forward_pull(h, wl, ss, fdeg);
+    }
+    if (total > grain && !core::sequential_pool()) {
       // Two-phase staged drain (core/staged_drain.h; design comment in
       // core/mrbc.cpp). Snapshot-safe: a level-d frontier only produces
       // level d+1 labels, which a same-frontier entry's stale check
@@ -450,7 +455,7 @@ class SourceRunner final : public sim::Checkpointable {
     sim::HostWork w;
     const std::size_t total = worklist_[h].size() + self_sched_[h].size();
     const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
-    if (total > grain) {
+    if (total > grain && !core::sequential_pool()) {
       // Staged drain: pushes target level d-1 predecessors while the drain
       // list is all level d, so Phase-A snapshots (including the delta read
       // in m) match the sequential interleaving exactly.

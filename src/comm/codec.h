@@ -135,16 +135,27 @@ class CodecWriter {
   /// Sorted ascending uint32 list (presence offsets, sorted LID lists):
   /// delta-encoded varints in compressed modes, write_vector bytes in kRaw.
   void sorted_u32_list(const std::vector<std::uint32_t>& values) {
+    sorted_u32_list(values.size(), [&](auto&& emit) {
+      for (std::uint32_t v : values) emit(v);
+    });
+  }
+  /// The same wire form for `count` values produced by for_each(emit), so
+  /// a caller can stream them (e.g. the set bits of a presence bitset)
+  /// without building a vector.
+  template <typename ForEach>
+  void sorted_u32_list(std::size_t count, ForEach&& for_each) {
     if (!compress_metadata(mode_)) {
-      buf_.write_vector(values);
+      buf_.reserve(buf_.size() + sizeof(std::uint64_t) + count * sizeof(std::uint32_t));
+      buf_.write<std::uint64_t>(count);
+      for_each([&](std::uint32_t v) { buf_.write(v); });
       return;
     }
-    buf_.write_varint(values.size(), sizeof(std::uint64_t));
+    buf_.write_varint(count, sizeof(std::uint64_t));
     std::uint32_t prev = 0;
-    for (std::uint32_t v : values) {
+    for_each([&](std::uint32_t v) {
       buf_.write_varint(v - prev, sizeof(std::uint32_t));
       prev = v;
-    }
+    });
   }
 
   /// Length-prefixed plane of packed POD values; the count is metadata,
@@ -196,20 +207,31 @@ class CodecReader {
   double f64() { return read_f64(buf_, mode_); }
 
   std::vector<std::uint32_t> sorted_u32_list() {
-    if (!compress_metadata(mode_)) return buf_.read_vector<std::uint32_t>();
-    const std::uint64_t n = buf_.read_varint();
-    // Each delta occupies at least one wire byte, so a length beyond the
-    // remaining bytes is a corrupted frame, not a short read.
-    if (n > buf_.remaining()) {
+    std::vector<std::uint32_t> values;
+    for_each_sorted_u32([&](std::uint32_t v) { values.push_back(v); });
+    return values;
+  }
+  /// Streams a sorted_u32_list to fn(value) in order, without a vector.
+  template <typename Fn>
+  void for_each_sorted_u32(Fn&& fn) {
+    const std::uint64_t n = compress_metadata(mode_) ? buf_.read_varint()
+                                                     : buf_.read<std::uint64_t>();
+    // Each element occupies at least one wire byte (four in kRaw), so a
+    // length beyond the remaining bytes is a corrupted frame, not a short
+    // read.
+    const std::size_t min_bytes = compress_metadata(mode_) ? 1 : sizeof(std::uint32_t);
+    if (n > buf_.remaining() / min_bytes) {
       throw std::out_of_range("codec: sorted list length exceeds buffer");
     }
-    std::vector<std::uint32_t> values(n);
-    std::uint64_t prev = 0;
-    for (auto& v : values) {
-      prev += buf_.read_varint();
-      v = narrow_u32(prev);
+    if (!compress_metadata(mode_)) {
+      for (std::uint64_t i = 0; i < n; ++i) fn(buf_.read<std::uint32_t>());
+      return;
     }
-    return values;
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      prev += buf_.read_varint();
+      fn(narrow_u32(prev));
+    }
   }
 
   template <typename T>

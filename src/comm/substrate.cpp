@@ -1,5 +1,7 @@
 #include "comm/substrate.h"
 
+#include <utility>
+
 namespace mrbc::comm {
 
 SyncStats& SyncStats::operator+=(const SyncStats& other) {
@@ -32,20 +34,94 @@ SyncStats& SyncStats::operator+=(const SyncStats& other) {
   return *this;
 }
 
-Substrate::Substrate(const Partition& part) : part_(&part), H_(part.num_hosts()) {
-  reduce_flags_.resize(H_);
-  broadcast_flags_.resize(H_);
+Substrate::Substrate(const Partition& part) : Substrate(part.num_hosts()) {
+  part_ = &part;
   for (HostId h = 0; h < H_; ++h) {
     reduce_flags_[h].resize(part.host(h).num_proxies());
     broadcast_flags_[h].resize(part.host(h).num_proxies());
   }
-  pair_bufs_.resize(static_cast<std::size_t>(H_) * H_);
+  // Pair orders of the historical delivery loops, over non-empty exchange
+  // lists: reduce (mh -> oh) mh-major, broadcast (oh -> mh) oh-major.
+  for (HostId a = 0; a < H_; ++a) {
+    for (HostId b = 0; b < H_; ++b) {
+      if (a == b) continue;
+      if (!part.mirror_lids(a, b).empty()) {
+        reduce_order_.push_back(
+            {a, b, pair_index(a, b), &part.mirror_lids(a, b), &part.master_lids(a, b)});
+      }
+      if (!part.master_lids(b, a).empty()) {
+        broadcast_order_.push_back(
+            {a, b, pair_index(a, b), &part.master_lids(b, a), &part.mirror_lids(b, a)});
+      }
+    }
+  }
+  // Pair slot (a, b) carries a's reduce message to b (list (a, b)) and a's
+  // broadcast message to b (list (b, a)); phases never overlap, so one
+  // bitset sized for the longer list serves both.
+  for (HostId a = 0; a < H_; ++a) {
+    for (HostId b = 0; b < H_; ++b) {
+      const std::size_t bits =
+          a == b ? 0 : std::max(part.mirror_lids(a, b).size(), part.mirror_lids(b, a).size());
+      const std::size_t pair = pair_index(a, b);
+      presence_off_[pair + 1] = presence_off_[pair] + detail::words_for(bits);
+    }
+  }
+  presence_.assign(presence_off_.back(), 0);
 }
 
 Substrate::Substrate(HostId num_hosts) : part_(nullptr), H_(num_hosts) {
   reduce_flags_.resize(H_);
   broadcast_flags_.resize(H_);
-  pair_bufs_.resize(static_cast<std::size_t>(H_) * H_);
+  const std::size_t pairs = static_cast<std::size_t>(H_) * H_;
+  pair_bufs_.resize(pairs);
+  presence_off_.assign(pairs + 1, 0);
+  pair_count_.assign(pairs, 0);
+}
+
+void Substrate::stage(bool reduce) {
+  const Partition& p = *part_;
+  // Host h reads and clears only its own flags and writes only the pairs
+  // it sends on (and, in reduce, its own broadcast flags), so hosts stage
+  // concurrently.
+  util::ThreadPool::global().parallel_for(0, H_, 1, [&](std::size_t hi) {
+    const auto h = static_cast<HostId>(hi);
+    // Sets the presence bit of one entry h sends (other host and position
+    // from the exchange index).
+    auto mark = [&](partition::ExchangeSlot slot) {
+      const std::size_t pair = pair_index(h, slot.host);
+      presence_[presence_off_[pair] + slot.pos / 64] |= Word{1} << (slot.pos % 64);
+      ++pair_count_[pair];
+    };
+    std::vector<Word>& flags = (reduce ? reduce_flags_ : broadcast_flags_)[h].words();
+    Word* w = flags.data();
+    const std::size_t n = flags.size();
+    for (std::size_t i = util::bitwords::find_nonzero(w, n, 0); i < n;
+         i = util::bitwords::find_nonzero(w, n, i + 1)) {
+      for (Word word = std::exchange(w[i], 0); word != 0; word &= word - 1) {
+        const auto lid =
+            static_cast<VertexId>(i * 64 + static_cast<unsigned>(__builtin_ctzll(word)));
+        if (!reduce) {
+          for (const partition::ExchangeSlot& slot : p.master_slots(h, lid)) mark(slot);
+          continue;
+        }
+        const partition::ExchangeSlot slot = p.mirror_slot(h, lid);
+        if (slot.host != h) {
+          mark(slot);
+        } else {
+          // A master flagged by its own host broadcasts too.
+          broadcast_flags_[h].set(lid);
+        }
+      }
+    }
+  });
+  active_.clear();
+  const std::vector<PairPlan>& order = reduce ? reduce_order_ : broadcast_order_;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    std::size_t& count = pair_count_[order[i].pair];
+    if (count == 0) continue;
+    active_.push_back({i, count});
+    count = 0;
+  }
 }
 
 void Substrate::set_delivery(const DeliveryOptions& options) {

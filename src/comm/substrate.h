@@ -35,18 +35,27 @@
 // engine's NetworkModel can cost it without distorting the headline
 // payload-byte comparisons.
 //
-// Execution: each sync phase runs in two sub-phases. Serialization of the
-// independent (master-host, other-host) pair messages fans out across the
-// shared util::ThreadPool — every mirror lid belongs to exactly one pair
-// and reduce-reset touches only that pair's mirrors, so any interleaving
-// serializes identical bytes — into a pool of per-pair SendBuffers that
-// keep their allocations across rounds. Delivery then walks the pairs
-// sequentially in the historical loop order, so ChannelFaults consultation
-// order, sequence numbers, SyncStats accounting, and apply order are all
-// bit-identical to the single-threaded engine.
+// Execution: each sync phase costs O(flagged proxies + hosts^2), not
+// O(exchange lists). Staging walks each host's flag words once (hosts in
+// parallel on the shared util::ThreadPool) and, through the Partition's
+// per-lid exchange index, sets the proxy's bit in the presence bitset of
+// every pair message it belongs to; host h only writes the pairs it sends
+// on. Serialization of the active (non-empty) pairs then fans out across
+// the pool — every mirror lid belongs to exactly one pair and reduce-reset
+// touches only that pair's mirrors, so any interleaving serializes
+// identical bytes — into per-pair SendBuffers that keep their allocations
+// across rounds; it visits only the set positions and leaves the presence
+// bitsets all-zero again. Delivery then walks the pairs sequentially in the
+// historical loop order (reduce: mirror-host major; broadcast: master-host
+// major), and each receiver applies entries in ascending exchange position,
+// so ChannelFaults consultation order, sequence numbers, SyncStats
+// accounting, and apply order are all bit-identical to a single-threaded
+// engine that scans every exchange list.
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/codec.h"
@@ -69,56 +78,69 @@ using partition::VertexId;
 /// bitset, sparse rounds the offsets).
 namespace detail {
 
-inline void write_presence(CodecWriter& w, const util::DynamicBitset& present,
+using Word = util::DynamicBitset::Word;
+
+inline std::size_t words_for(std::size_t num_bits) { return (num_bits + 63) / 64; }
+
+/// Writes the presence set held in `words` (`num_bits` positions, `count`
+/// of them set).
+inline void write_presence(CodecWriter& w, const Word* words, std::size_t num_bits,
                            std::size_t count) {
-  const std::size_t bitset_bytes = 8 + present.byte_size();
-  if (!compress_metadata(w.mode())) {
-    const std::size_t offsets_bytes = 8 + count * sizeof(std::uint32_t);
-    if (bitset_bytes <= offsets_bytes) {
-      w.u8(0);
-      w.buffer().write_bitset(present);
-    } else {
-      w.u8(1);
-      std::vector<std::uint32_t> offsets;
-      offsets.reserve(count);
-      present.for_each_set(
-          [&](std::size_t i) { offsets.push_back(static_cast<std::uint32_t>(i)); });
-      w.buffer().write_vector(offsets);
-    }
-    return;
-  }
-  // Compressed metadata: the offset list is delta + varint encoded, so
-  // compare the bitset against the *encoded* list size — sparse rounds tip
-  // toward offsets much earlier than under fixed-width accounting.
-  std::vector<std::uint32_t> offsets;
-  offsets.reserve(count);
-  present.for_each_set([&](std::size_t i) { offsets.push_back(static_cast<std::uint32_t>(i)); });
-  std::size_t offsets_bytes = util::varint_size(offsets.size());
-  std::uint32_t prev = 0;
-  for (std::uint32_t v : offsets) {
-    offsets_bytes += util::varint_size(v - prev);
-    prev = v;
+  const std::size_t num_words = words_for(num_bits);
+  auto for_each = [&](auto&& emit) {
+    util::bitwords::for_each_set_bit(words, num_words,
+                                     [&](std::size_t i) { emit(static_cast<std::uint32_t>(i)); });
+  };
+  const std::size_t bitset_bytes = 8 + num_words * sizeof(Word);
+  std::size_t offsets_bytes = 8 + count * sizeof(std::uint32_t);
+  if (compress_metadata(w.mode())) {
+    // Compressed metadata: the offset list is delta + varint encoded, so
+    // compare the bitset against the *encoded* list size — sparse rounds
+    // tip toward offsets much earlier than under fixed-width accounting.
+    offsets_bytes = util::varint_size(count);
+    std::uint32_t prev = 0;
+    for_each([&](std::uint32_t v) {
+      offsets_bytes += util::varint_size(v - prev);
+      prev = v;
+    });
   }
   if (bitset_bytes <= offsets_bytes) {
     w.u8(0);
-    w.buffer().write_bitset(present);
+    w.buffer().write_bitset(words, num_words, num_bits);
   } else {
     w.u8(1);
-    w.sorted_u32_list(offsets);
+    w.sorted_u32_list(count, for_each);
   }
 }
 
-/// Invokes fn(index) for each present exchange-list position, in order.
-/// The presence encoding is fully consumed before the first fn call, so a
-/// message body following it in the same buffer can be read inside fn.
-template <typename Fn>
-void read_presence(CodecReader& r, Fn&& fn) {
-  const auto tag = r.u8();
-  if (tag == 0) {
-    util::DynamicBitset present = r.buffer().read_bitset();
-    present.for_each_set(fn);
-  } else {
-    for (std::uint32_t i : r.sorted_u32_list()) fn(i);
+/// Decodes a received presence set in place (no bitset or offset vector is
+/// materialized) and appends, in ascending position order, the receiver's
+/// lid `list[pos]` of every present position to `lids` (cleared first). A
+/// position outside the exchange list is a corrupted frame.
+inline void read_presence(CodecReader& r, const std::vector<VertexId>& list,
+                          std::vector<VertexId>& lids) {
+  lids.clear();
+  auto emit = [&](std::uint64_t pos) {
+    if (pos >= list.size()) {
+      throw std::out_of_range("substrate: presence position " + std::to_string(pos) +
+                              " outside an exchange list of " + std::to_string(list.size()));
+    }
+    lids.push_back(list[pos]);
+  };
+  if (r.u8() != 0) {
+    r.for_each_sorted_u32(emit);
+    return;
+  }
+  util::RecvBuffer& in = r.buffer();
+  in.read<std::uint64_t>();  // bit count; emit() bounds the positions instead
+  const auto num_words = in.read<std::uint64_t>();
+  if (num_words > in.remaining() / sizeof(Word)) {
+    throw std::out_of_range("substrate: truncated presence bitset");
+  }
+  for (std::uint64_t i = 0; i < num_words; ++i) {
+    for (Word word = in.read<Word>(); word != 0; word &= word - 1) {
+      emit(i * 64 + static_cast<unsigned>(__builtin_ctzll(word)));
+    }
   }
 }
 
@@ -250,149 +272,55 @@ class Substrate {
 
   /// reduce phase: flagged mirrors -> masters. Masters whose value received
   /// a contribution (or that were themselves reduce-flagged) become
-  /// broadcast-flagged. Reduce flags are consumed.
+  /// broadcast-flagged. Reduce flags are consumed when the phase starts, so
+  /// an accessor's reduce() must not flag_reduce.
   template <typename Accessor>
   SyncStats reduce(Accessor& acc) {
     obs::Span span(obs::Category::kComm, "reduce");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: serialize every pair message in parallel into the per-pair
-    // buffer pool. Pairs are independent — mirror_lids(mh, *) partitions
-    // mh's mirrors, so the reduce-reset of one pair never touches another
-    // pair's reads — and the applies all happen later, so any thread
-    // interleaving serializes identical bytes.
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/true);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& mirrors = p.mirror_lids(pw.src, pw.dst);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      // Serialize flagged entries: presence bitset over the exchange
-      // list + packed values.
-      util::DynamicBitset present(mirrors.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        if (reduce_flags_[pw.src].test(mirrors[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() +
-                  count * (sizeof(typename Accessor::Value) + sizeof(std::uint32_t)));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      // Collect the flagged values first: plane codecs (frame-of-reference)
-      // need the whole plane before the first wire byte. In kRaw the plane
-      // serializes to exactly the historical count-prefixed value run.
-      std::vector<typename Accessor::Value> vals;
-      vals.reserve(count);
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        const VertexId lid = mirrors[i];
-        if (reduce_flags_[pw.src].test(lid)) {
-          vals.push_back(acc.get(pw.src, lid));
-          acc.reset(pw.src, lid);
-        }
-      }
-      ValueCodec<typename Accessor::Value>::write_plane(cw, vals);
-      pw.values = count;
-    });
-    // Phase B: deliver sequentially in the historical pair order.
-    std::size_t w = 0;
-    for (HostId mh = 0; mh < H_; ++mh) {
-      for (HostId oh = 0; oh < H_; ++oh) {
-        if (mh == oh || p.mirror_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& masters = p.master_lids(mh, oh);
-        deliver(mh, oh, pair_buf(mh, oh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          std::vector<std::size_t> indices;
-          detail::read_presence(r, [&](std::size_t i) { indices.push_back(i); });
-          auto rvalues = ValueCodec<typename Accessor::Value>::read_plane(r);
-          std::size_t next = 0;
-          for (std::size_t i : indices) {
-            const VertexId master_lid = masters[i];
-            acc.reduce(oh, master_lid, rvalues[next++]);
-            broadcast_flags_[oh].set(master_lid);
+    using Value = typename Accessor::Value;
+    return run_phase(
+        /*reduce=*/true, sizeof(Value),
+        [&](const PairSend& send, CodecWriter& cw) {
+          // Collect the flagged values first: plane codecs (frame-of-
+          // reference) need the whole plane before the first wire byte. In
+          // kRaw the plane serializes to exactly the count-prefixed run.
+          std::vector<Value> vals;
+          vals.reserve(send.count);
+          send.for_each_lid([&](VertexId lid) {
+            vals.push_back(acc.get(send.src, lid));
+            acc.reset(send.src, lid);
+          });
+          ValueCodec<Value>::write_plane(cw, vals);
+        },
+        [&](HostId dst, CodecReader& r, const std::vector<VertexId>& lids) {
+          const std::vector<Value> vals = read_values<Value>(r, lids.size());
+          for (std::size_t i = 0; i < lids.size(); ++i) {
+            acc.reduce(dst, lids[i], vals[i]);
+            broadcast_flags_[dst].set(lids[i]);
           }
         });
-      }
-      // Masters flagged locally (their own host updated them) broadcast too.
-      const auto& hg = p.host(mh);
-      reduce_flags_[mh].for_each_set([&](std::size_t lid) {
-        if (hg.is_master[lid]) broadcast_flags_[mh].set(lid);
-      });
-      reduce_flags_[mh].reset_all();
-    }
-    return stats;
   }
 
   /// broadcast phase: flagged masters -> all their mirrors. Broadcast flags
-  /// are consumed.
+  /// are consumed when the phase starts.
   template <typename Accessor>
   SyncStats broadcast(Accessor& acc) {
     obs::Span span(obs::Category::kComm, "broadcast");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: parallel serialization (masters are only read — a master
-    // serialized toward several mirror hosts is shared read-only state).
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/false);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& masters = p.master_lids(pw.dst, pw.src);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      util::DynamicBitset present(masters.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (broadcast_flags_[pw.src].test(masters[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() +
-                  count * (sizeof(typename Accessor::Value) + sizeof(std::uint32_t)));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      std::vector<typename Accessor::Value> vals;
-      vals.reserve(count);
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        const VertexId lid = masters[i];
-        if (broadcast_flags_[pw.src].test(lid)) vals.push_back(acc.get(pw.src, lid));
-      }
-      ValueCodec<typename Accessor::Value>::write_plane(cw, vals);
-      pw.values = count;
-    });
-    // Phase B: sequential delivery in the historical pair order.
-    std::size_t w = 0;
-    for (HostId oh = 0; oh < H_; ++oh) {
-      for (HostId mh = 0; mh < H_; ++mh) {
-        if (mh == oh || p.master_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& mirrors = p.mirror_lids(mh, oh);
-        deliver(oh, mh, pair_buf(oh, mh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          std::vector<std::size_t> indices;
-          detail::read_presence(r, [&](std::size_t i) { indices.push_back(i); });
-          auto rvalues = ValueCodec<typename Accessor::Value>::read_plane(r);
-          std::size_t next = 0;
-          for (std::size_t i : indices) {
-            acc.set(mh, mirrors[i], rvalues[next++]);
-          }
+    using Value = typename Accessor::Value;
+    // Masters are only read — a master serialized toward several mirror
+    // hosts is shared read-only state.
+    return run_phase(
+        /*reduce=*/false, sizeof(Value),
+        [&](const PairSend& send, CodecWriter& cw) {
+          std::vector<Value> vals;
+          vals.reserve(send.count);
+          send.for_each_lid([&](VertexId lid) { vals.push_back(acc.get(send.src, lid)); });
+          ValueCodec<Value>::write_plane(cw, vals);
+        },
+        [&](HostId dst, CodecReader& r, const std::vector<VertexId>& lids) {
+          const std::vector<Value> vals = read_values<Value>(r, lids.size());
+          for (std::size_t i = 0; i < lids.size(); ++i) acc.set(dst, lids[i], vals[i]);
         });
-      }
-    }
-    for (HostId oh = 0; oh < H_; ++oh) broadcast_flags_[oh].reset_all();
-    return stats;
   }
 
   /// Full sync: reduce then broadcast, as at the start of each BSP round.
@@ -417,60 +345,20 @@ class Substrate {
   template <typename VarAccessor>
   SyncStats reduce_var(VarAccessor& acc) {
     obs::Span span(obs::Category::kComm, "reduce");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: parallel per-pair serialization. serialize_reduce mutates
-    // only the serialized mirror's own state (reduce-reset), and each
-    // mirror lid appears in exactly one pair, so pairs stay independent.
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/true);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& mirrors = p.mirror_lids(pw.src, pw.dst);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      util::DynamicBitset present(mirrors.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        if (reduce_flags_[pw.src].test(mirrors[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() + count * sizeof(std::uint32_t));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      for (std::size_t i = 0; i < mirrors.size(); ++i) {
-        if (present.test(i)) acc.serialize_reduce(pw.src, mirrors[i], cw);
-      }
-      pw.values = count;
-    });
-    // Phase B: sequential delivery in the historical pair order.
-    std::size_t w = 0;
-    for (HostId mh = 0; mh < H_; ++mh) {
-      for (HostId oh = 0; oh < H_; ++oh) {
-        if (mh == oh || p.mirror_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& masters = p.master_lids(mh, oh);
-        deliver(mh, oh, pair_buf(mh, oh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          detail::read_presence(r, [&](std::size_t i) {
-            acc.apply_reduce(oh, masters[i], r);
-            broadcast_flags_[oh].set(masters[i]);
-          });
+    // serialize_reduce mutates only the serialized mirror's own state
+    // (reduce-reset), and each mirror lid appears in exactly one pair, so
+    // pairs stay independent.
+    return run_phase(
+        /*reduce=*/true, 0,
+        [&](const PairSend& send, CodecWriter& cw) {
+          send.for_each_lid([&](VertexId lid) { acc.serialize_reduce(send.src, lid, cw); });
+        },
+        [&](HostId dst, CodecReader& r, const std::vector<VertexId>& lids) {
+          for (VertexId lid : lids) {
+            acc.apply_reduce(dst, lid, r);
+            broadcast_flags_[dst].set(lid);
+          }
         });
-      }
-      const auto& hg = p.host(mh);
-      reduce_flags_[mh].for_each_set([&](std::size_t lid) {
-        if (hg.is_master[lid]) broadcast_flags_[mh].set(lid);
-      });
-      reduce_flags_[mh].reset_all();
-    }
-    return stats;
   }
 
   /// Point-to-point scatter through the delivery layer: buffers[src][dst]
@@ -504,54 +392,16 @@ class Substrate {
   template <typename VarAccessor>
   SyncStats broadcast_var(VarAccessor& acc) {
     obs::Span span(obs::Category::kComm, "broadcast");
-    SyncStats stats;
-    stats.bytes_per_host.assign(H_, 0);
-    stats.msgs_per_host.assign(H_, 0);
-    const Partition& p = *part_;
-    // Phase A: parallel per-pair serialization (serialize_broadcast is
-    // contractually read-only, so shared masters are safe).
-    std::vector<PairWork> work = pair_serialize_order(/*reduce=*/false);
-    util::ThreadPool::global().parallel_for(0, work.size(), 1, [&](std::size_t w) {
-      PairWork& pw = work[w];
-      const auto& masters = p.master_lids(pw.dst, pw.src);
-      util::SendBuffer& buf = pair_buf(pw.src, pw.dst);
-      buf.clear();
-      util::DynamicBitset present(masters.size());
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (broadcast_flags_[pw.src].test(masters[i])) {
-          present.set(i);
-          ++count;
-        }
-      }
-      if (count == 0) return;
-      buf.reserve(kPresenceSlack + present.byte_size() + count * sizeof(std::uint32_t));
-      CodecWriter cw(buf, delivery_.codec);
-      detail::write_presence(cw, present, count);
-      for (std::size_t i = 0; i < masters.size(); ++i) {
-        if (present.test(i)) acc.serialize_broadcast(pw.src, masters[i], cw);
-      }
-      pw.values = count;
-    });
-    // Phase B: sequential delivery in the historical pair order.
-    std::size_t w = 0;
-    for (HostId oh = 0; oh < H_; ++oh) {
-      for (HostId mh = 0; mh < H_; ++mh) {
-        if (mh == oh || p.master_lids(mh, oh).empty()) continue;
-        const std::size_t values = work[w++].values;
-        if (values == 0) continue;
-        stats.values += values;
-        const auto& mirrors = p.mirror_lids(mh, oh);
-        deliver(oh, mh, pair_buf(oh, mh), stats, [&](util::RecvBuffer& rbuf) {
-          CodecReader r(rbuf, delivery_.codec);
-          detail::read_presence(r, [&](std::size_t i) {
-            acc.apply_broadcast(mh, mirrors[i], r);
-          });
+    // serialize_broadcast is contractually read-only, so shared masters are
+    // safe.
+    return run_phase(
+        /*reduce=*/false, 0,
+        [&](const PairSend& send, CodecWriter& cw) {
+          send.for_each_lid([&](VertexId lid) { acc.serialize_broadcast(send.src, lid, cw); });
+        },
+        [&](HostId dst, CodecReader& r, const std::vector<VertexId>& lids) {
+          for (VertexId lid : lids) acc.apply_broadcast(dst, lid, r);
         });
-      }
-    }
-    for (HostId oh = 0; oh < H_; ++oh) broadcast_flags_[oh].reset_all();
-    return stats;
   }
 
  private:
@@ -560,38 +410,100 @@ class Substrate {
   /// reserve() headroom for the presence encoding's tags/length prefixes.
   static constexpr std::size_t kPresenceSlack = 32;
 
+  using Word = util::DynamicBitset::Word;
+
   std::size_t pair_index(HostId src, HostId dst) const {
     return static_cast<std::size_t>(src) * H_ + dst;
   }
 
-  /// One host-pair message of a sync phase: serialization target in Phase
-  /// A, delivery bookkeeping (serialized value count) for Phase B.
-  struct PairWork {
+  /// One host-pair message of a sync phase. `send` lists the sender's lids
+  /// and `recv` the receiver's, position for position (reduce: the mirror
+  /// and master sides of the pair's exchange list; broadcast: the reverse).
+  struct PairPlan {
     HostId src = 0;
     HostId dst = 0;
-    std::size_t values = 0;
+    std::size_t pair = 0;  ///< pair_index(src, dst)
+    const std::vector<VertexId>* send = nullptr;
+    const std::vector<VertexId>* recv = nullptr;
   };
 
-  /// The nonempty pair messages of one phase, in delivery order. reduce:
-  /// (mh -> oh) over nonempty mirror lists, mh-major; broadcast: (oh -> mh)
-  /// over nonempty master lists, oh-major — exactly the historical loops.
-  std::vector<PairWork> pair_serialize_order(bool reduce) const {
-    std::vector<PairWork> work;
-    const Partition& p = *part_;
-    for (HostId a = 0; a < H_; ++a) {
-      for (HostId b = 0; b < H_; ++b) {
-        if (a == b) continue;
-        const bool nonempty =
-            reduce ? !p.mirror_lids(a, b).empty() : !p.master_lids(b, a).empty();
-        if (nonempty) work.push_back(PairWork{a, b, 0});
-      }
+  /// A pair with staged entries this phase: index into the phase's pair
+  /// order and its entry count.
+  struct ActivePair {
+    std::size_t order = 0;
+    std::size_t count = 0;
+  };
+
+  /// What a serialize callback sees of one pair message: the sender and
+  /// the staged entries, visited in ascending exchange position.
+  struct PairSend {
+    HostId src;
+    std::size_t count;
+    const Word* words;
+    std::size_t num_words;
+    const std::vector<VertexId>& lids;
+
+    template <typename Fn>
+    void for_each_lid(Fn&& fn) const {
+      util::bitwords::for_each_set_bit(words, num_words, [&](std::size_t i) { fn(lids[i]); });
     }
-    return work;
+  };
+
+  /// Decodes a fixed-width value plane that must hold one value per
+  /// present entry.
+  template <typename Value>
+  static std::vector<Value> read_values(CodecReader& r, std::size_t expected) {
+    std::vector<Value> vals = ValueCodec<Value>::read_plane(r);
+    if (vals.size() != expected) {
+      throw std::out_of_range("substrate: value plane of " + std::to_string(vals.size()) +
+                              " for " + std::to_string(expected) + " present entries");
+    }
+    return vals;
   }
 
-  /// Reusable per-pair serialization buffer (cleared each phase, capacity
-  /// kept across rounds).
-  util::SendBuffer& pair_buf(HostId src, HostId dst) { return pair_bufs_[pair_index(src, dst)]; }
+  /// Stages one phase (defined in substrate.cpp): consumes the phase's
+  /// flags, fills the presence bitsets and pair_count_, and collects
+  /// active_ in delivery order.
+  void stage(bool reduce);
+
+  /// The one body of all four sync templates. Stages the presence sets,
+  /// serializes every active pair in parallel — presence encoding, then
+  /// serialize(PairSend, CodecWriter&) — and delivers the pairs in order,
+  /// calling apply(receiver, CodecReader&, receiver lids of the entries)
+  /// once per message. `value_bytes` sizes the buffer reservation.
+  template <typename SerializeFn, typename ApplyFn>
+  SyncStats run_phase(bool reduce, std::size_t value_bytes, SerializeFn&& serialize,
+                      ApplyFn&& apply) {
+    SyncStats stats;
+    stats.bytes_per_host.assign(H_, 0);
+    stats.msgs_per_host.assign(H_, 0);
+    stage(reduce);
+    const std::vector<PairPlan>& order = reduce ? reduce_order_ : broadcast_order_;
+    util::ThreadPool::global().parallel_for(0, active_.size(), 1, [&](std::size_t a) {
+      const PairPlan& pp = order[active_[a].order];
+      const std::size_t count = active_[a].count;
+      Word* words = presence_.data() + presence_off_[pp.pair];
+      const std::size_t num_words = detail::words_for(pp.send->size());
+      util::SendBuffer& buf = pair_bufs_[pp.pair];
+      buf.clear();
+      buf.reserve(kPresenceSlack + num_words * sizeof(Word) +
+                  count * (value_bytes + sizeof(std::uint32_t)));
+      CodecWriter cw(buf, delivery_.codec);
+      detail::write_presence(cw, words, pp.send->size(), count);
+      serialize(PairSend{pp.src, count, words, num_words, *pp.send}, cw);
+      std::fill_n(words, num_words, Word{0});  // all-zero again for the next phase
+    });
+    for (const ActivePair& a : active_) {
+      const PairPlan& pp = order[a.order];
+      stats.values += a.count;
+      deliver(pp.src, pp.dst, pair_bufs_[pp.pair], stats, [&](util::RecvBuffer& rbuf) {
+        CodecReader r(rbuf, delivery_.codec);
+        detail::read_presence(r, *pp.recv, recv_lids_);
+        apply(pp.dst, r, recv_lids_);
+      });
+    }
+    return stats;
+  }
 
   /// Transmits one host-pair message and applies it at the receiver.
   /// Unframed mode applies directly (historical behavior, identical byte
@@ -719,6 +631,15 @@ class Substrate {
   std::vector<std::uint64_t> last_accepted_;  ///< per (src,dst) receiver high-water mark
   std::vector<util::SendBuffer> pair_bufs_;   ///< per (src,dst) reusable message buffers
   std::vector<std::uint8_t> wire_scratch_;    ///< corruption-path frame copy
+  // Sync-phase plan and staging, built once in the constructor. Both pair
+  // orders list only pairs with a non-empty exchange list.
+  std::vector<PairPlan> reduce_order_;     ///< (mh -> oh), mh-major
+  std::vector<PairPlan> broadcast_order_;  ///< (oh -> mh), oh-major
+  std::vector<Word> presence_;             ///< per-pair presence bitsets, all-zero between phases
+  std::vector<std::size_t> presence_off_;  ///< per (src,dst): first word in presence_
+  std::vector<std::size_t> pair_count_;    ///< per (src,dst): entries staged this phase
+  std::vector<ActivePair> active_;         ///< this phase's pairs with entries, in order
+  std::vector<VertexId> recv_lids_;        ///< receiver lids of the message being applied
 };
 
 }  // namespace mrbc::comm

@@ -54,6 +54,12 @@ constexpr std::uint8_t kEagerStaged = 4; // staged for eager (non-final) broadca
 // count anomalies differently than the sequential drain; they are reported
 // as broken either way.
 //
+// Because the two drains agree, a pool with one participant skips the
+// staging and drains sequentially (push rounds only: the direction decision
+// is still taken for every staged-size forward round). test_determinism's
+// 1/2/8-thread suites therefore compare the sequential drain against the
+// staged one directly.
+//
 // PushRec / ChunkRecs / the 64-lid range partition live in
 // core/staged_drain.h, shared with the SBBC baseline's identical drain.
 //
@@ -752,32 +758,34 @@ class BatchRunner final : public sim::Checkpointable {
     const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
     // Drain finalized labels delivered this round (broadcast arrivals on
     // mirrors + the master's own scheduled entries): each is the CONGEST
-    // "send along all out-edges", performed as local proxy updates.
-    if (total > grain) {
-      std::uint64_t fdeg = 0;
-      if (choose_pull(h, total, grain, fdeg)) {
-        w = compute_forward_pull(h, total, grain, fdeg);
-      } else {
-        const std::size_t num_ranges = num_replay_ranges(h);
-        std::span<ChunkRecs> chunks = stage_pushes(
-            h, total, grain, num_ranges,
-            [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
-              const auto [lid, sidx] = drain_entry(h, ei);
-              finalize_forward(h, lid, sidx);
-              const SourceSlot s = st.slot(lid, sidx);
-              for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
-                recs.push_back(PushRec{tl, sidx, s.dist + 1, s.sigma,
-                                       static_cast<std::uint32_t>(recs.size())});
-                ++ch.work_items;
-              }
-            });
-        w = replay_pushes(h, chunks, num_ranges,
-                          [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
-                              std::uint64_t ord) {
-                            combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms,
-                                                 staged, ord);
-                          });
-      }
+    // "send along all out-edges", performed as local proxy updates. A
+    // staged-size round still takes the direction decision; a push round
+    // on a one-participant pool drains sequentially, which valid runs make
+    // equal to the staged drain (design comment above).
+    std::uint64_t fdeg = 0;
+    const bool staged_size = total > grain;
+    if (staged_size && choose_pull(h, total, grain, fdeg)) {
+      w = compute_forward_pull(h, total, grain, fdeg);
+    } else if (staged_size && !sequential_pool()) {
+      const std::size_t num_ranges = num_replay_ranges(h);
+      std::span<ChunkRecs> chunks = stage_pushes(
+          h, total, grain, num_ranges,
+          [&](ChunkRecs& ch, std::vector<PushRec>& recs, std::size_t ei) {
+            const auto [lid, sidx] = drain_entry(h, ei);
+            finalize_forward(h, lid, sidx);
+            const SourceSlot s = st.slot(lid, sidx);
+            for (graph::VertexId tl : hg.local.out_neighbors(lid)) {
+              recs.push_back(PushRec{tl, sidx, s.dist + 1, s.sigma,
+                                     static_cast<std::uint32_t>(recs.size())});
+              ++ch.work_items;
+            }
+          });
+      w = replay_pushes(h, chunks, num_ranges,
+                        [&](const PushRec& p, std::size_t& anoms, std::vector<OrdLid>* staged,
+                            std::uint64_t ord) {
+                          combine_forward_impl(h, p.target, p.sidx, p.dist, p.value, anoms,
+                                               staged, ord);
+                        });
     } else {
       auto drain = [&](const std::vector<std::pair<graph::VertexId, std::uint32_t>>& list) {
         for (const auto& [lid, sidx] : list) {
@@ -874,7 +882,7 @@ class BatchRunner final : public sim::Checkpointable {
     // whole backward phase.
     const std::size_t total = drain_size(h);
     const std::size_t grain = std::max<std::size_t>(opts_.drain_grain, 1);
-    if (total > grain) {
+    if (total > grain && !sequential_pool()) {
       const std::size_t num_ranges = num_replay_ranges(h);
       std::span<ChunkRecs> chunks = stage_pushes(
           h, total, grain, num_ranges,

@@ -38,6 +38,9 @@ using graph::VertexId;
 /// One (vertex, source) label cell of the dense array A_v.
 struct SourceSlot {
   std::uint32_t dist = graph::kInfDist;
+  /// Named alignment padding, always zero: checkpoints copy slots bytewise,
+  /// and unnamed padding would carry whatever the arena held before.
+  std::uint32_t pad = 0;
   double sigma = 0.0;
   double delta = 0.0;
 };

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/thread_pool.h"
 
 namespace mrbc::core {
 
@@ -22,6 +23,11 @@ constexpr std::uint32_t kRangeShift = 6;
 inline std::size_t num_drain_ranges(std::size_t num_proxies) {
   return (num_proxies + (std::size_t{1} << kRangeShift) - 1) >> kRangeShift;
 }
+
+/// True when the shared pool has a single participant. The staged drain
+/// then only adds its chunking and replay overhead to the sequential drain
+/// it equals on valid runs, so both kernels drain sequentially instead.
+inline bool sequential_pool() { return util::ThreadPool::global().parallelism() == 1; }
 
 /// One recorded neighbor push awaiting ordered replay.
 struct PushRec {

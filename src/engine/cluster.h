@@ -185,8 +185,11 @@ struct LoopCheckpoint {
 /// resumed execution that continued from it. Counters add; `rounds` keeps
 /// the absolute logical round number (the resumed loop continues the same
 /// numbering, so the larger of the two is the final round). For
-/// deterministic counters the merge equals the uninterrupted run exactly;
-/// measured wall-clock fields are sums of the two executions.
+/// deterministic counters the merge equals the uninterrupted run exactly.
+/// Durable snapshots do not persist measured compute seconds, so when
+/// `saved` was loaded from one, the merged compute_seconds,
+/// per_host_compute_seconds, round-log compute_seconds and
+/// phases.compute_seconds cover only the resumed leg.
 RunStats merge_resumed(const RunStats& saved, const RunStats& resumed);
 
 /// Options controlling the simulated execution.

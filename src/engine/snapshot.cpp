@@ -8,7 +8,9 @@ namespace mrbc::sim {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'R', 'B', 'C', 'S', 'N', 'P', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+// Version 2 stopped persisting measured seconds (RunStats compute times);
+// version-1 files are refused like any foreign format.
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 2 * sizeof(std::uint32_t);
 constexpr std::size_t kSectionHeaderBytes =
     sizeof(std::uint32_t) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
@@ -141,20 +143,23 @@ const std::vector<std::uint8_t>& SnapshotReader::section(std::uint32_t id) const
 
 // ---- RunStats serialization -------------------------------------------------
 
+// Only deterministic fields are persisted: the measured compute seconds
+// (compute_seconds, per_host_compute_seconds, the round log's
+// compute_seconds and phases.compute_seconds) are left out, so two
+// identical runs write byte-identical snapshots and a loaded RunStats
+// reads zero for them.
 void save_run_stats(util::SendBuffer& buf, const RunStats& stats) {
   buf.write<std::uint64_t>(stats.rounds);
-  buf.write<double>(stats.compute_seconds);
   buf.write<double>(stats.network_seconds);
   buf.write<std::uint64_t>(stats.messages);
   buf.write<std::uint64_t>(stats.bytes);
   buf.write<std::uint64_t>(stats.raw_bytes);
   buf.write<std::uint64_t>(stats.values);
   buf.write<double>(stats.imbalance_sum);
-  buf.write_vector(stats.per_host_compute_seconds);
+  buf.write<std::uint64_t>(stats.per_host_compute_seconds.size());
   buf.write<std::uint64_t>(stats.round_log.size());
   for (const RoundLogEntry& e : stats.round_log) {
     buf.write<std::uint64_t>(e.round);
-    buf.write<double>(e.compute_seconds);
     buf.write<double>(e.network_seconds);
     buf.write<std::uint64_t>(e.messages);
     buf.write<std::uint64_t>(e.bytes);
@@ -186,7 +191,6 @@ void save_run_stats(util::SendBuffer& buf, const RunStats& stats) {
   buf.write<double>(fc.handoff_seconds);
   const PhaseBreakdown& pb = stats.phases;
   buf.write<double>(pb.comm_seconds);
-  buf.write<double>(pb.compute_seconds);
   buf.write<double>(pb.checkpoint_seconds);
   buf.write<double>(pb.recovery_seconds);
 }
@@ -194,20 +198,18 @@ void save_run_stats(util::SendBuffer& buf, const RunStats& stats) {
 RunStats load_run_stats(util::RecvBuffer& buf) {
   RunStats stats;
   stats.rounds = buf.read<std::uint64_t>();
-  stats.compute_seconds = buf.read<double>();
   stats.network_seconds = buf.read<double>();
   stats.messages = buf.read<std::uint64_t>();
   stats.bytes = buf.read<std::uint64_t>();
   stats.raw_bytes = buf.read<std::uint64_t>();
   stats.values = buf.read<std::uint64_t>();
   stats.imbalance_sum = buf.read<double>();
-  stats.per_host_compute_seconds = buf.read_vector<double>();
+  stats.per_host_compute_seconds.assign(buf.read<std::uint64_t>(), 0.0);
   const auto log_entries = buf.read<std::uint64_t>();
   stats.round_log.reserve(log_entries);
   for (std::uint64_t i = 0; i < log_entries; ++i) {
     RoundLogEntry e;
     e.round = buf.read<std::uint64_t>();
-    e.compute_seconds = buf.read<double>();
     e.network_seconds = buf.read<double>();
     e.messages = buf.read<std::uint64_t>();
     e.bytes = buf.read<std::uint64_t>();
@@ -240,7 +242,6 @@ RunStats load_run_stats(util::RecvBuffer& buf) {
   fc.handoff_seconds = buf.read<double>();
   PhaseBreakdown& pb = stats.phases;
   pb.comm_seconds = buf.read<double>();
-  pb.compute_seconds = buf.read<double>();
   pb.checkpoint_seconds = buf.read<double>();
   pb.recovery_seconds = buf.read<double>();
   return stats;

@@ -80,8 +80,8 @@ class SnapshotReader {
 };
 
 /// RunStats round-trip for durable checkpoints: every deterministic counter
-/// is preserved exactly (measured wall-clock fields are preserved as
-/// written — they are not expected to be bit-stable across runs).
+/// is preserved exactly; measured compute seconds are not persisted (they
+/// load as zero), so identical runs write byte-identical snapshots.
 void save_run_stats(util::SendBuffer& buf, const RunStats& stats);
 RunStats load_run_stats(util::RecvBuffer& buf);
 

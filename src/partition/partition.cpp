@@ -31,11 +31,14 @@ void Partition::build(const Graph& g, Policy policy) {
 
   // Pass 1: discover the proxy set of every host. A host gets a proxy for
   // each endpoint of each of its edges, and the master host always gets one.
+  // Mirror counts per vertex size the master side of the exchange index.
   global_to_local_.assign(H, std::vector<VertexId>(n, graph::kInvalidVertex));
-  auto add_proxy = [this](HostId h, VertexId gv) {
+  std::vector<std::uint32_t> num_mirrors(n, 0);
+  auto add_proxy = [&](HostId h, VertexId gv) {
     if (global_to_local_[h][gv] == graph::kInvalidVertex) {
       global_to_local_[h][gv] = static_cast<VertexId>(hosts_[h].local_to_global.size());
       hosts_[h].local_to_global.push_back(gv);
+      if (h != master_host_[gv]) ++num_mirrors[gv];
     }
   };
   for (VertexId v = 0; v < n; ++v) add_proxy(master_host_[v], v);
@@ -61,19 +64,37 @@ void Partition::build(const Graph& g, Policy policy) {
       }
     }
   }
+
+  // Exchange-index layout, in the walk that marks masters: each master's
+  // CSR range holds one slot per mirror. off[l + 1] starts as the first
+  // slot of l and is pass 3's fill cursor, so it ends as the first slot of
+  // l + 1.
+  mirror_slot_.resize(H);
+  master_slot_off_.resize(H);
+  master_slots_.resize(H);
   for (HostId h = 0; h < H; ++h) {
     auto& hg = hosts_[h];
     hg.local = graph::build_graph(hg.num_proxies(), std::move(local_edges[h]));
     hg.is_master.assign(hg.num_proxies(), false);
+    std::vector<std::uint32_t>& off = master_slot_off_[h];
+    off.resize(static_cast<std::size_t>(hg.num_proxies()) + 1);
+    off[0] = 0;
+    std::uint32_t slots = 0;
     for (VertexId l = 0; l < hg.num_proxies(); ++l) {
-      if (master_host_[hg.local_to_global[l]] == h) {
+      off[l + 1] = slots;
+      const VertexId gv = hg.local_to_global[l];
+      if (master_host_[gv] == h) {
         hg.is_master[l] = true;
         ++hg.num_masters;
+        slots += num_mirrors[gv];
       }
     }
+    master_slots_[h].resize(slots);
+    mirror_slot_[h].assign(hg.num_proxies(), ExchangeSlot{h, 0});
   }
 
-  // Pass 3: exchange lists, ascending global-id order for determinism.
+  // Pass 3: exchange lists, ascending global-id order for determinism, and
+  // the per-lid exchange index in the same walk.
   mirror_lids_.assign(H, std::vector<std::vector<VertexId>>(H));
   master_lids_.assign(H, std::vector<std::vector<VertexId>>(H));
   for (HostId mh = 0; mh < H; ++mh) {
@@ -88,8 +109,12 @@ void Partition::build(const Graph& g, Policy policy) {
       if (hg.is_master[l]) continue;
       const VertexId gv = hg.local_to_global[l];
       const HostId oh = master_host_[gv];
+      const VertexId master_lid = global_to_local_[oh][gv];
+      const auto pos = static_cast<std::uint32_t>(mirror_lids_[mh][oh].size());
       mirror_lids_[mh][oh].push_back(l);
-      master_lids_[mh][oh].push_back(global_to_local_[oh][gv]);
+      master_lids_[mh][oh].push_back(master_lid);
+      mirror_slot_[mh][l] = ExchangeSlot{oh, pos};
+      master_slots_[oh][master_slot_off_[oh][master_lid + 1]++] = ExchangeSlot{mh, pos};
     }
   }
 }

@@ -6,6 +6,7 @@
 // the master, the rest are mirrors reconciled during communication.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,13 @@ struct HostGraph {
   VertexId num_masters = 0;
 
   VertexId num_proxies() const { return static_cast<VertexId>(local_to_global.size()); }
+};
+
+/// One proxy's place in an exchange list: the other host of the pair and
+/// the index into mirror_lids / master_lids of that pair.
+struct ExchangeSlot {
+  HostId host = 0;
+  std::uint32_t pos = 0;
 };
 
 /// Full partition of a graph over `num_hosts` hosts, plus the exchange
@@ -73,6 +81,18 @@ class Partition {
     return master_lids_[mirror_host][master_host];
   }
 
+  /// Per-lid exchange index (the inverse of the lists above), so a sync
+  /// phase can go from a flagged proxy straight to its list positions.
+  /// mirror_slot(h, lid): for a mirror, {its master host oh, its index in
+  /// mirror_lids(h, oh)}; for a master, {h, 0}.
+  ExchangeSlot mirror_slot(HostId h, VertexId lid) const { return mirror_slot_[h][lid]; }
+  /// master_slots(h, lid): for a master, one {mirror host mh, index in
+  /// master_lids(mh, h)} per mirror, ascending mh; empty for a mirror.
+  std::span<const ExchangeSlot> master_slots(HostId h, VertexId lid) const {
+    const std::vector<std::uint32_t>& off = master_slot_off_[h];
+    return {master_slots_[h].data() + off[lid], off[lid + 1] - off[lid]};
+  }
+
   /// Total proxies across hosts divided by |V|; 1.0 means no replication.
   double replication_factor() const;
 
@@ -93,6 +113,9 @@ class Partition {
   std::vector<std::vector<VertexId>> global_to_local_;          // [host][global] -> local
   std::vector<std::vector<std::vector<VertexId>>> mirror_lids_; // [mh][oh] -> lids on mh
   std::vector<std::vector<std::vector<VertexId>>> master_lids_; // [mh][oh] -> lids on oh
+  std::vector<std::vector<ExchangeSlot>> mirror_slot_;          // [h][lid]
+  std::vector<std::vector<std::uint32_t>> master_slot_off_;     // [h][lid], CSR offsets
+  std::vector<std::vector<ExchangeSlot>> master_slots_;         // [h] -> CSR entries
 };
 
 /// Block owner used by the cut policies: global vertex ids are split into

@@ -171,26 +171,11 @@ void DynamicBitset::resize(std::size_t num_bits) {
   clear_padding();
 }
 
-void DynamicBitset::set(std::size_t pos) {
-  assert(pos < num_bits_);
-  words_[pos / kBitsPerWord] |= Word{1} << (pos % kBitsPerWord);
-}
-
-void DynamicBitset::reset(std::size_t pos) {
-  assert(pos < num_bits_);
-  words_[pos / kBitsPerWord] &= ~(Word{1} << (pos % kBitsPerWord));
-}
-
 void DynamicBitset::reset_all() { std::fill(words_.begin(), words_.end(), 0); }
 
 void DynamicBitset::set_all() {
   std::fill(words_.begin(), words_.end(), ~Word{0});
   clear_padding();
-}
-
-bool DynamicBitset::test(std::size_t pos) const {
-  assert(pos < num_bits_);
-  return (words_[pos / kBitsPerWord] >> (pos % kBitsPerWord)) & 1u;
 }
 
 std::size_t DynamicBitset::count() const {

@@ -14,6 +14,7 @@
 // MRBC_DISABLE_SIMD CMake option, runtime opt-out via the MRBC_NO_SIMD
 // environment variable, and a __builtin_cpu_supports("avx2") probe.
 
+#include <cassert>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -48,6 +49,19 @@ bool any_intersect(const Word* a, const Word* b, std::size_t n);
 /// are zero — the zero-word skip of the frontier scans.
 std::size_t find_nonzero(const Word* w, std::size_t n, std::size_t from);
 
+/// Invokes fn(bit) for every set bit of w[0..n) in ascending order,
+/// skipping zero words through find_nonzero.
+template <typename Fn>
+void for_each_set_bit(const Word* w, std::size_t n, Fn&& fn) {
+  for (std::size_t i = find_nonzero(w, n, 0); i < n; i = find_nonzero(w, n, i + 1)) {
+    Word word = w[i];
+    while (word != 0) {
+      fn(i * 64 + static_cast<unsigned>(__builtin_ctzll(word)));
+      word &= word - 1;
+    }
+  }
+}
+
 }  // namespace bitwords
 
 /// A fixed-capacity-after-resize dynamic bitset with word-level operations
@@ -66,13 +80,25 @@ class DynamicBitset {
   std::size_t size() const { return num_bits_; }
   bool empty() const { return num_bits_ == 0; }
 
-  void set(std::size_t pos);
-  void reset(std::size_t pos);
+  // Single-bit accessors are inline: the drains' flag updates and frontier
+  // tests call them per edge, and an out-of-line call per bit costs more
+  // than the bit operation itself.
+  void set(std::size_t pos) {
+    assert(pos < num_bits_);
+    words_[pos / kBitsPerWord] |= Word{1} << (pos % kBitsPerWord);
+  }
+  void reset(std::size_t pos) {
+    assert(pos < num_bits_);
+    words_[pos / kBitsPerWord] &= ~(Word{1} << (pos % kBitsPerWord));
+  }
+  bool test(std::size_t pos) const {
+    assert(pos < num_bits_);
+    return (words_[pos / kBitsPerWord] >> (pos % kBitsPerWord)) & 1u;
+  }
   /// Sets all bits to zero without changing the size.
   void reset_all();
   /// Sets all bits in [0, size()) to one.
   void set_all();
-  bool test(std::size_t pos) const;
 
   /// Number of set bits.
   std::size_t count() const;
@@ -89,17 +115,7 @@ class DynamicBitset {
   /// words fully finalized (zero).
   template <typename Fn>
   void for_each_set_bit(Fn&& fn) const {
-    const Word* w = words_.data();
-    const std::size_t n = words_.size();
-    for (std::size_t i = bitwords::find_nonzero(w, n, 0); i < n;
-         i = bitwords::find_nonzero(w, n, i + 1)) {
-      Word word = w[i];
-      while (word != 0) {
-        const unsigned tz = static_cast<unsigned>(__builtin_ctzll(word));
-        fn(i * kBitsPerWord + tz);
-        word &= word - 1;
-      }
-    }
+    bitwords::for_each_set_bit(words_.data(), words_.size(), static_cast<Fn&&>(fn));
   }
 
   /// Historical name; same iteration as for_each_set_bit.

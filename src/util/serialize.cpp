@@ -2,14 +2,14 @@
 
 namespace mrbc::util {
 
-void SendBuffer::write_bitset(const DynamicBitset& bits) {
+void SendBuffer::write_bitset(const DynamicBitset::Word* words, std::size_t num_words,
+                              std::size_t num_bits) {
   // One up-front reserve covers the bit-count header, the word-count prefix
   // and the word payload — large frontier bitsets would otherwise grow the
   // backing store through repeated resize steps.
-  reserve(bytes_.size() + 2 * sizeof(std::uint64_t) +
-          bits.words().size() * sizeof(DynamicBitset::Word));
-  write<std::uint64_t>(bits.size());
-  write_vector(bits.words());
+  reserve(bytes_.size() + 2 * sizeof(std::uint64_t) + num_words * sizeof(DynamicBitset::Word));
+  write<std::uint64_t>(num_bits);
+  write_array(words, num_words);
 }
 
 void SendBuffer::write_raw(const void* data, std::size_t n) {

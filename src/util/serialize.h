@@ -83,7 +83,13 @@ class SendBuffer {
     raw_bytes_ += raw_equivalent;
   }
 
-  void write_bitset(const DynamicBitset& bits);
+  void write_bitset(const DynamicBitset& bits) {
+    write_bitset(bits.words().data(), bits.words().size(), bits.size());
+  }
+  /// write_bitset's wire form (bit count, then the write_vector-framed
+  /// words) for a bitset held as a bare word run.
+  void write_bitset(const DynamicBitset::Word* words, std::size_t num_words,
+                    std::size_t num_bits);
   void write_string(const std::string& s);
 
   /// Appends raw bytes without a length prefix (framing layers that manage

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "comm/codec.h"
@@ -427,18 +428,39 @@ TEST(Codec, PresenceRoundTripBothTags) {
         expected.push_back(static_cast<std::uint32_t>(i));
       }
     }
+    // Identity exchange list: decoded lids are the presence positions.
+    std::vector<graph::VertexId> list(n);
+    std::iota(list.begin(), list.end(), graph::VertexId{0});
     for (CodecMode mode : kAllModes) {
       SendBuffer out;
       CodecWriter w(out, mode);
-      comm::detail::write_presence(w, present, expected.size());
+      comm::detail::write_presence(w, present.words().data(), n, expected.size());
       RecvBuffer in(out.take());
       CodecReader r(in, mode);
-      std::vector<std::uint32_t> got;
-      comm::detail::read_presence(
-          r, [&](std::size_t i) { got.push_back(static_cast<std::uint32_t>(i)); });
+      std::vector<graph::VertexId> got;
+      comm::detail::read_presence(r, list, got);
       EXPECT_EQ(got, expected) << "density " << density << " mode "
                                << static_cast<int>(mode);
       EXPECT_TRUE(in.exhausted());
+    }
+  }
+}
+
+TEST(Codec, PresenceOutsideExchangeListIsRejected) {
+  // Position 300 decoded against a 100-entry exchange list is a corrupted
+  // frame under either tag, never an out-of-bounds read.
+  for (std::size_t set_bits : {1u, 200u}) {
+    util::DynamicBitset present(512);
+    for (std::size_t i = 0; i < set_bits; ++i) present.set(300 - i);
+    const std::vector<graph::VertexId> list(100, 0);
+    for (CodecMode mode : kAllModes) {
+      SendBuffer out;
+      CodecWriter w(out, mode);
+      comm::detail::write_presence(w, present.words().data(), 512, set_bits);
+      RecvBuffer in(out.take());
+      CodecReader r(in, mode);
+      std::vector<graph::VertexId> got;
+      EXPECT_THROW(comm::detail::read_presence(r, list, got), std::out_of_range);
     }
   }
 }
@@ -452,7 +474,7 @@ TEST(Codec, PresenceSparseCompressedUsesOffsetList) {
   present.set(4000);
   SendBuffer out;
   CodecWriter w(out, CodecMode::kMetadataOnly);
-  comm::detail::write_presence(w, present, 3);
+  comm::detail::write_presence(w, present.words().data(), present.size(), 3);
   EXPECT_LT(out.size(), 16u);
 }
 

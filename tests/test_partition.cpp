@@ -138,6 +138,48 @@ TEST_P(PolicySweep, ExchangeListsAreAligned) {
   }
 }
 
+TEST_P(PolicySweep, ExchangeIndexInvertsExchangeLists) {
+  const auto [policy, hosts] = GetParam();
+  Graph g = graph::rmat({.scale = 6, .edge_factor = 5.0, .seed = 11});
+  Partition part(g, static_cast<HostId>(hosts), policy);
+  const HostId H = part.num_hosts();
+  for (HostId h = 0; h < H; ++h) {
+    const auto& hg = part.host(h);
+    for (VertexId l = 0; l < hg.num_proxies(); ++l) {
+      const ExchangeSlot slot = part.mirror_slot(h, l);
+      if (hg.is_master[l]) {
+        // A master has no mirror slot, and one master slot per mirror
+        // host, ascending, each naming this master in master_lids.
+        EXPECT_EQ(slot.host, h);
+        HostId prev = 0;
+        bool first = true;
+        std::size_t mirrors = 0;
+        for (const ExchangeSlot& m : part.master_slots(h, l)) {
+          ASSERT_LT(m.host, H);
+          ASSERT_LT(m.pos, part.master_lids(m.host, h).size());
+          EXPECT_EQ(part.master_lids(m.host, h)[m.pos], l);
+          if (!first) {
+            EXPECT_GT(m.host, prev);
+          }
+          prev = m.host;
+          first = false;
+          ++mirrors;
+        }
+        std::size_t proxies = 0;
+        for (HostId o = 0; o < H; ++o) {
+          proxies += part.local_id(o, hg.local_to_global[l]) != graph::kInvalidVertex;
+        }
+        EXPECT_EQ(mirrors, proxies - 1);
+      } else {
+        EXPECT_TRUE(part.master_slots(h, l).empty());
+        EXPECT_EQ(slot.host, part.master_host(hg.local_to_global[l]));
+        ASSERT_LT(slot.pos, part.mirror_lids(h, slot.host).size());
+        EXPECT_EQ(part.mirror_lids(h, slot.host)[slot.pos], l);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, PolicySweep,
                          ::testing::Combine(::testing::ValuesIn(kAllPolicies),
                                             ::testing::Values(1, 2, 4, 6, 16)));

@@ -390,6 +390,43 @@ TEST(DurableRestart, MrbcColdRestartBitIdentity) {
   EXPECT_EQ(final_run.anomalies, 0u);
 }
 
+TEST(DurableRestart, IdenticalRunsWriteIdenticalSnapshots) {
+  // Durable snapshots persist no measured time, so two identical runs —
+  // halted mid-phase (in-flight loop state and partial stats) or run to
+  // completion — write byte-identical files.
+  const Graph g = graph::rmat({.scale = 6, .edge_factor = 4.0, .seed = 5});
+  const auto sources = graph::sample_sources(g, 8, 7, /*contiguous=*/false);
+  for (std::size_t halt : {2u, 0u}) {
+    std::vector<std::uint8_t> mrbc_files[2];
+    std::vector<std::uint8_t> sbbc_files[2];
+    for (int run = 0; run < 2; ++run) {
+      const std::string dir =
+          scratch_dir("identical_" + std::to_string(halt) + "_" + std::to_string(run));
+      core::MrbcOptions mopts;
+      mopts.num_hosts = 4;
+      mopts.batch_size = 4;
+      mopts.cluster.checkpoint_interval = 2;
+      mopts.cluster.record_round_log = true;
+      mopts.checkpoint_dir = dir;
+      mopts.halt_after_checkpoints = halt;
+      EXPECT_EQ(core::mrbc_bc(g, sources, mopts).halted, halt != 0);
+      mrbc_files[run] = read_file_bytes(dir + "/mrbc.ckpt");
+
+      baselines::SbbcOptions sopts;
+      sopts.num_hosts = 4;
+      sopts.cluster.record_round_log = true;
+      sopts.checkpoint_dir = dir;
+      sopts.halt_after_checkpoints = halt;
+      EXPECT_EQ(baselines::sbbc_bc(g, sources, sopts).halted, halt != 0);
+      sbbc_files[run] = read_file_bytes(dir + "/sbbc.ckpt");
+    }
+    ASSERT_FALSE(mrbc_files[0].empty());
+    ASSERT_FALSE(sbbc_files[0].empty());
+    EXPECT_TRUE(mrbc_files[0] == mrbc_files[1]) << "mrbc snapshot differs, halt " << halt;
+    EXPECT_TRUE(sbbc_files[0] == sbbc_files[1]) << "sbbc snapshot differs, halt " << halt;
+  }
+}
+
 TEST(DurableRestart, MrbcResumeRejectsWrongConfiguration) {
   const std::string dir = scratch_dir("mrbc_fingerprint");
   const Graph g = graph::erdos_renyi(40, 0.1, 13);
